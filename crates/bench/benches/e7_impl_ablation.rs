@@ -1,11 +1,9 @@
-//! Criterion counterpart of experiment **E7**: the five counter
-//! implementations on the staircase-release and uncontended-ops workloads.
+//! Criterion counterpart of experiment **E7**: the queue-structured and
+//! naive counter implementations on the staircase-release and
+//! uncontended-ops workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter,
-    ParkingCounter,
-};
+use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,8 +53,6 @@ fn bench_impls(c: &mut Criterion) {
     bench_one!(Counter, "waitlist");
     bench_one!(BTreeCounter, "btree");
     bench_one!(NaiveCounter, "naive");
-    bench_one!(ParkingCounter, "parking_lot");
-    bench_one!(AtomicCounter, "atomic");
     group.finish();
 }
 

@@ -8,10 +8,7 @@
 //! the slow path, bounding what the fast path can ever save.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ParkingCounter,
-    SpinCounter,
-};
+use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, SpinCounter};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,14 +29,6 @@ fn bench_increment(c: &mut Criterion) {
     });
     group.bench_function("btree", |b| {
         let c = BTreeCounter::default();
-        b.iter(|| c.increment(1));
-    });
-    group.bench_function("parking_lot", |b| {
-        let c = ParkingCounter::default();
-        b.iter(|| c.increment(1));
-    });
-    group.bench_function("atomic", |b| {
-        let c = AtomicCounter::default();
         b.iter(|| c.increment(1));
     });
     group.bench_function("spin", |b| {
@@ -81,14 +70,6 @@ fn bench_check(c: &mut Criterion) {
     });
     group.bench_function("btree", |b| {
         let mut op = satisfied_check::<BTreeCounter>();
-        b.iter(&mut op);
-    });
-    group.bench_function("parking_lot", |b| {
-        let mut op = satisfied_check::<ParkingCounter>();
-        b.iter(&mut op);
-    });
-    group.bench_function("atomic", |b| {
-        let mut op = satisfied_check::<AtomicCounter>();
         b.iter(&mut op);
     });
     group.bench_function("spin", |b| {

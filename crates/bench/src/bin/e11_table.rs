@@ -10,7 +10,7 @@
 //!
 //! 1. **All-writer throughput** — total increments/second with 1, 2, 4, 8
 //!    threads hammering one counter, for `ShardedCounter` vs the waitlist
-//!    `Counter` vs `AtomicCounter`.
+//!    `Counter` (the single-CAS-word baseline).
 //! 2. **Waiter latency** — time from the increment that satisfies a waiter's
 //!    level to the waiter resuming, sharded vs waitlist: the price the
 //!    waiter-aware eager flush pays for the throughput.
@@ -22,7 +22,7 @@
 //! Usage: `cargo run --release -p mc-bench --bin e11_table [--quick] [--json]`
 
 use mc_bench::{Report, Table};
-use mc_counter::{AtomicCounter, Counter, CounterDiagnostics, MonotonicCounter, ShardedCounter};
+use mc_counter::{Counter, CounterDiagnostics, MonotonicCounter, ShardedCounter};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,18 +109,11 @@ fn main() {
 
     let mut table = Table::new(
         "E11: all-writer increment throughput (ops/sec, total across threads)",
-        &[
-            "threads",
-            "waitlist",
-            "atomic",
-            "sharded",
-            "sharded vs waitlist",
-        ],
+        &["threads", "waitlist", "sharded", "sharded vs waitlist"],
     );
     let mut highest_ratio = 0.0f64;
     for &threads in &[1usize, 2, 4, 8] {
         let waitlist = throughput(Counter::default, threads, ops);
-        let atomic = throughput(AtomicCounter::default, threads, ops);
         let sharded = throughput(
             || ShardedCounter::builder().shards(threads.max(4)).build(),
             threads,
@@ -133,7 +126,6 @@ fn main() {
         table.row(vec![
             threads.to_string(),
             format!("{:.1}M/s", waitlist / 1e6),
-            format!("{:.1}M/s", atomic / 1e6),
             format!("{:.1}M/s", sharded / 1e6),
             format!("{ratio:.1}x"),
         ]);

@@ -8,8 +8,8 @@
 //! * `waitlist` — the paper's sorted linked list (reference);
 //! * `btree` — same algorithm, `BTreeMap` lookup;
 //! * `naive-broadcast` — one condvar, wake **everyone** on every increment;
-//! * `parking_lot` — userspace queues;
-//! * `atomic-fastpath` — lock-free uncontended operations.
+//! * `monitor` — one predicate monitor (Section 8's comparison);
+//! * `spin` — no suspension queue at all.
 //!
 //! Usage: `cargo run --release -p mc-bench --bin e7_table [--quick] [--json]`
 
@@ -17,8 +17,8 @@ use mc_algos::floyd_warshall as fw;
 use mc_algos::graph::dense_graph;
 use mc_bench::{fmt_duration, measure, Report, Table};
 use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter,
-    NaiveCounter, ParkingCounter, SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter, NaiveCounter,
+    SpinCounter,
 };
 use std::sync::Arc;
 
@@ -105,18 +105,16 @@ fn main() {
     bench_impl::<Counter>("waitlist (paper §7)", &mut table, quick, &edge);
     bench_impl::<BTreeCounter>("btree", &mut table, quick, &edge);
     bench_impl::<NaiveCounter>("naive-broadcast", &mut table, quick, &edge);
-    bench_impl::<ParkingCounter>("parking_lot", &mut table, quick, &edge);
-    bench_impl::<AtomicCounter>("atomic-fastpath", &mut table, quick, &edge);
     bench_impl::<MonitorCounter>("monitor", &mut table, quick, &edge);
     bench_impl::<SpinCounter>("spin", &mut table, quick, &edge);
     let mut report = Report::new("e7", &args);
     report.table(table);
     report.note(
-        "Shape check: the waitlist/btree/parking/atomic variants issue one broadcast per\n\
-         satisfied level; naive-broadcast issues one per increment and wakes every waiter\n\
-         each time (its broadcast count ~= increments). The packed-word variants\n\
-         (waitlist/btree/parking/atomic) tie on the uncontended column — all four share\n\
-         the same fast path; see e8_table for the fast-vs-mutex-only ablation.",
+        "Shape check: the waitlist/btree variants issue one broadcast per satisfied\n\
+         level; naive-broadcast issues one per increment and wakes every waiter each\n\
+         time (its broadcast count ~= increments). The packed-word variants\n\
+         (waitlist/btree) tie on the uncontended column — both are the same WaitCore\n\
+         with the same fast path; see e8_table for the fast-vs-mutex-only ablation.",
     );
     report.finish();
 }

@@ -16,8 +16,8 @@
 
 use mc_bench::{measure, Report, Table};
 use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MeteredCounter, MonitorCounter,
-    MonotonicCounter, NaiveCounter, ParkingCounter, SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MeteredCounter, MonitorCounter, MonotonicCounter,
+    NaiveCounter, SpinCounter,
 };
 use mc_metrics::Registry;
 use std::sync::Arc;
@@ -138,20 +138,6 @@ fn main() {
     bench_impl::<BTreeCounter>(
         "btree",
         &BTreeCounter::default,
-        &mut table,
-        quick,
-        Some(&base),
-    );
-    bench_impl::<ParkingCounter>(
-        "parking_lot",
-        &ParkingCounter::default,
-        &mut table,
-        quick,
-        Some(&base),
-    );
-    bench_impl::<AtomicCounter>(
-        "atomic-fastpath",
-        &AtomicCounter::default,
         &mut table,
         quick,
         Some(&base),

@@ -1,390 +1,70 @@
 //! [`BTreeCounter`]: the Section 7 algorithm with the ordered waiting list
 //! stored in a `BTreeMap` instead of the paper's linked list.
 //!
-//! Identical semantics to [`crate::Counter`], including the packed-word fast
-//! path; level lookup on the slow path is O(log L) rather than O(L).
-//! Experiment E7 ablates this choice.
+//! Identical semantics to [`crate::Counter`] — both are a [`WaitCore`], and
+//! only the queue differs: level lookup on the slow path is O(log L) rather
+//! than O(L). Experiments E5 and E7 ablate this choice.
 
-use crate::builder::{BuildConfig, Buildable, CounterBuilder};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
-use crate::fastpath::{FastAdvance, FastIncrement, FastWord, FAST_CAP};
 use crate::node::WaitNode;
-use crate::stats::{Stats, StatsSnapshot};
-use crate::traits::{
-    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
-};
+use crate::waitcore::{LevelQueue, Sealed, WaitCore};
 use crate::Value;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-struct Inner {
-    /// Exact value once the packed hint saturates; see [`crate::fastpath`].
-    wide: Value,
-    waiting: BTreeMap<Value, Arc<WaitNode>>,
-    /// The first poisoning cause, if any. Set at most once.
-    poisoned: Option<FailureInfo>,
-}
+use std::sync::Arc;
 
 /// A monotonic counter whose per-level suspension queues live in a `BTreeMap`.
 ///
 /// Semantically interchangeable with [`crate::Counter`]; see the crate docs
 /// for the implementation comparison table.
-pub struct BTreeCounter {
-    fast: FastWord,
-    inner: Mutex<Inner>,
-    stats: Stats,
-    poison_enabled: bool,
-}
+pub type BTreeCounter = WaitCore<BTreeMap<Value, Arc<WaitNode>>>;
 
-impl Default for BTreeCounter {
-    fn default() -> Self {
-        Self::builder().build()
-    }
-}
+impl Sealed for BTreeMap<Value, Arc<WaitNode>> {}
 
-impl Buildable for BTreeCounter {
-    fn from_config(cfg: &BuildConfig) -> Self {
-        BTreeCounter {
-            fast: FastWord::new(cfg.initial()),
-            inner: Mutex::new(Inner {
-                wide: cfg.initial(),
-                waiting: BTreeMap::new(),
-                poisoned: None,
-            }),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
-        }
-    }
-}
+impl LevelQueue for BTreeMap<Value, Arc<WaitNode>> {
+    const NAME: &'static str = "btree";
 
-impl BTreeCounter {
-    /// Starts building a counter; see [`CounterBuilder`].
-    pub fn builder() -> CounterBuilder<Self> {
-        CounterBuilder::new()
-    }
-
-    /// Creates a counter with value zero and no waiting threads.
-    #[deprecated(note = "use CounterBuilder: `BTreeCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value`.
-    #[deprecated(note = "use CounterBuilder: `BTreeCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("counter lock poisoned")
-    }
-
-    /// Detaches every node with level <= `value` from the map.
-    fn remove_satisfied(
-        waiting: &mut BTreeMap<Value, Arc<WaitNode>>,
-        value: Value,
-    ) -> Vec<Arc<WaitNode>> {
-        match value.checked_add(1) {
-            Some(next) => {
-                let rest = waiting.split_off(&next);
-                std::mem::replace(waiting, rest).into_values().collect()
-            }
-            // value == u64::MAX satisfies every possible level.
-            None => std::mem::take(waiting).into_values().collect(),
-        }
-    }
-
-    fn raise(&self, amount: Value) -> Result<Vec<Arc<WaitNode>>, CounterOverflowError> {
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let new_value = self.fast.locked_add(&mut inner.wide, amount)?;
-        self.stats.record_increment();
-        let satisfied = Self::remove_satisfied(&mut inner.waiting, new_value);
-        for node in &satisfied {
-            node.signal();
-            self.stats.record_notify();
-        }
-        if inner.waiting.is_empty() {
-            self.fast.clear_waiters();
-        }
-        Ok(satisfied)
-    }
-
-    /// Shared tail of `check`/`check_timeout`: find-or-insert the node for
-    /// `level` under the already-held lock.
-    fn enqueue(&self, inner: &mut Inner, level: Value) -> Arc<WaitNode> {
+    #[inline]
+    fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
         let mut inserted = false;
-        let node = Arc::clone(inner.waiting.entry(level).or_insert_with(|| {
+        let node = self.entry(level).or_insert_with(|| {
             inserted = true;
             Arc::new(WaitNode::new(level))
-        }));
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        node
+        });
+        (Arc::clone(node), inserted)
     }
-}
 
-impl MonotonicCounter for BTreeCounter {
-    fn increment(&self, amount: Value) {
-        match self.fast.try_increment(amount) {
-            FastIncrement::Done => {
-                self.stats.record_fast_increment();
-                return;
+    #[inline]
+    fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>> {
+        match value.checked_add(1) {
+            Some(next) => {
+                let rest = self.split_off(&next);
+                std::mem::replace(self, rest).into_values().collect()
             }
-            FastIncrement::Overflow(e) => panic!("monotonic counter overflow: {e}"),
-            FastIncrement::Contended => {}
-        }
-        let satisfied = self
-            .raise(amount)
-            .unwrap_or_else(|e| panic!("monotonic counter overflow: {e}"));
-        for node in satisfied {
-            node.cv.notify_all();
+            // value == u64::MAX satisfies every possible level.
+            None => std::mem::take(self).into_values().collect(),
         }
     }
 
-    fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        match self.fast.try_increment(amount) {
-            FastIncrement::Done => {
-                self.stats.record_fast_increment();
-                return Ok(());
-            }
-            FastIncrement::Overflow(e) => return Err(e),
-            FastIncrement::Contended => {}
-        }
-        let satisfied = self.raise(amount)?;
-        for node in satisfied {
-            node.cv.notify_all();
-        }
-        Ok(())
+    fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>> {
+        self.remove(&level)
     }
 
-    fn advance_to(&self, target: Value) {
-        match self.fast.try_advance(target) {
-            FastAdvance::Raised => {
-                self.stats.record_fast_increment();
-                return;
-            }
-            FastAdvance::NoOp => return,
-            FastAdvance::Contended => {}
-        }
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
-                return;
-            };
-            self.stats.record_increment();
-            let satisfied = Self::remove_satisfied(&mut inner.waiting, new_value);
-            for node in &satisfied {
-                node.signal();
-                self.stats.record_notify();
-            }
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
-        }
+    #[inline]
+    fn len(&self) -> usize {
+        BTreeMap::len(self)
     }
 
-    fn wait(&self, level: Value) -> Result<(), CheckError> {
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.fast.register_waiter(inner.wide);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let node = self.enqueue(&mut inner, level);
-        while !node.is_set() && !node.is_poisoned() {
-            inner = node
-                .cv
-                .wait(inner)
-                .expect("counter lock poisoned while waiting");
-        }
-        let poisoned = node.is_poisoned();
-        self.stats.record_waiter_resumed();
-        if node.remove_waiter() {
-            self.stats.record_node_freed();
-        }
-        if poisoned {
-            let info = inner
-                .poisoned
-                .clone()
-                .expect("poisoned wait node without a recorded cause");
-            return Err(CheckError::Poisoned(info));
-        }
-        Ok(())
-    }
-
-    fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.fast.register_waiter(inner.wide);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let node = self.enqueue(&mut inner, level);
-        loop {
-            // Satisfied first, then poisoned (the node already left the map
-            // at poison time, so the timeout-removal branch must not run for
-            // it), then the deadline.
-            if node.is_set() {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    self.stats.record_node_freed();
-                }
-                return Ok(());
-            }
-            if node.is_poisoned() {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    self.stats.record_node_freed();
-                }
-                let info = inner
-                    .poisoned
-                    .clone()
-                    .expect("poisoned wait node without a recorded cause");
-                return Err(CheckError::Poisoned(info));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    inner.waiting.remove(&level);
-                    self.stats.record_node_freed();
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                }
-                return Err(CheckError::Timeout(CheckTimeoutError { level }));
-            }
-            let (guard, _) = node
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .expect("counter lock poisoned while waiting");
-            inner = guard;
-        }
-    }
-
-    fn poison(&self, info: FailureInfo) {
-        if !self.poison_enabled {
-            return;
-        }
-        let swept = {
-            let mut inner = self.lock();
-            if inner.poisoned.is_some() {
-                return;
-            }
-            self.fast.set_poison();
-            inner.poisoned = Some(info);
-            let swept = Self::remove_satisfied(&mut inner.waiting, Value::MAX);
-            for node in &swept {
-                node.poison();
-                self.stats.record_notify();
-            }
-            self.fast.clear_waiters();
-            swept
-        };
-        for node in swept {
-            node.cv.notify_all();
-        }
-    }
-
-    fn poison_info(&self) -> Option<FailureInfo> {
-        if !self.fast.is_poisoned() {
-            return None;
-        }
-        self.lock().poisoned.clone()
-    }
-}
-
-impl ResumableCounter for BTreeCounter {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-}
-
-impl Resettable for BTreeCounter {
-    fn reset(&mut self) {
-        let inner = self.inner.get_mut().expect("counter lock poisoned");
-        debug_assert!(inner.waiting.is_empty(), "reset called while threads wait");
-        inner.wide = 0;
-        inner.poisoned = None;
-        self.fast.reset(0);
-    }
-}
-
-impl CounterDiagnostics for BTreeCounter {
-    fn debug_value(&self) -> Value {
-        let hint = self.fast.value_hint();
-        if hint < FAST_CAP {
-            hint
-        } else {
-            self.lock().wide
-        }
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn impl_name(&self) -> &'static str {
-        "btree"
-    }
-
-    fn waiters(&self) -> Vec<WaitingLevel> {
-        self.lock()
-            .waiting
-            .values()
-            .map(|n| WaitingLevel {
-                level: n.level,
-                threads: n.waiter_count(),
-            })
-            .collect()
+    fn nodes(&self) -> Vec<Arc<WaitNode>> {
+        self.values().cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{CheckError, FailureInfo};
+    use crate::traits::{CounterDiagnostics, MonotonicCounter};
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn basic_wait_and_wake() {
@@ -398,27 +78,6 @@ mod tests {
         h.join().unwrap();
         assert_eq!(c.stats().nodes_created, 1);
         assert_eq!(c.stats().nodes_freed, 1);
-    }
-
-    #[test]
-    fn remove_satisfied_boundary() {
-        let mut map = BTreeMap::new();
-        for level in [1u64, 5, 6, 7] {
-            map.insert(level, Arc::new(WaitNode::new(level)));
-        }
-        let out = BTreeCounter::remove_satisfied(&mut map, 6);
-        let got: Vec<_> = out.iter().map(|n| n.level).collect();
-        assert_eq!(got, vec![1, 5, 6]);
-        assert_eq!(map.keys().copied().collect::<Vec<_>>(), vec![7]);
-    }
-
-    #[test]
-    fn remove_satisfied_at_u64_max_takes_all() {
-        let mut map = BTreeMap::new();
-        map.insert(u64::MAX, Arc::new(WaitNode::new(u64::MAX)));
-        let out = BTreeCounter::remove_satisfied(&mut map, u64::MAX);
-        assert_eq!(out.len(), 1);
-        assert!(map.is_empty());
     }
 
     #[test]

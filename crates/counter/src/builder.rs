@@ -21,8 +21,8 @@
 //! Every implementation accepts every knob; knobs that do not apply to an
 //! implementation (e.g. `shards` on a mutex-only counter) are documented as
 //! ignored rather than rejected, so generic code can configure a
-//! `CounterBuilder<C>` without knowing `C`. The legacy `new`/`with_value`
-//! constructors remain as deprecated shims forwarding here.
+//! `CounterBuilder<C>` without knowing `C`. It is the only constructor:
+//! `Type::default()` builds with every knob at its default.
 
 use crate::Value;
 use mc_metrics::{Event, Histogram, Registry};
@@ -265,9 +265,8 @@ impl<C: Buildable> CounterBuilder<C> {
 mod tests {
     use super::*;
     use crate::{
-        AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, FailureInfo, MonitorCounter,
-        MonotonicCounter, NaiveCounter, ParkingCounter, ShardedCounter, SpinCounter,
-        TracingCounter,
+        BTreeCounter, Counter, CounterDiagnostics, FailureInfo, MonitorCounter, MonotonicCounter,
+        NaiveCounter, ShardedCounter, SpinCounter, TracingCounter,
     };
 
     fn exercise<C: Buildable + MonotonicCounter + CounterDiagnostics>() {
@@ -282,8 +281,6 @@ mod tests {
         exercise::<Counter>();
         exercise::<BTreeCounter>();
         exercise::<NaiveCounter>();
-        exercise::<ParkingCounter>();
-        exercise::<AtomicCounter>();
         exercise::<TracingCounter>();
         exercise::<SpinCounter>();
         exercise::<MonitorCounter>();

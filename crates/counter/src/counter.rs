@@ -8,54 +8,19 @@
 //! path (see [`crate::fastpath`]) lets an already-satisfied `check` return
 //! after one atomic load and a waiter-free `increment` complete with one CAS,
 //! so the mutex is only ever taken when a thread actually suspends or must be
-//! woken.
+//! woken. The slow path itself is [`WaitCore`]'s; this module supplies the
+//! paper's list as its queue, plus the ablation and tracing constructors.
 
-use crate::builder::{BuildConfig, Buildable, CounterBuilder};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
-use crate::fastpath::{FastAdvance, FastIncrement, FastWord, FAST_CAP};
+use crate::builder::{BuildConfig, Buildable};
 use crate::list::SortedList;
-use crate::node::WaitNode;
-use crate::stats::{Stats, StatsSnapshot};
-use crate::trace::{snapshot_of, TraceLog};
-use crate::traits::{
-    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
-};
-use crate::Value;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-pub(crate) struct Inner {
-    /// The exact value once the packed hint has saturated at
-    /// [`FAST_CAP`]; stale (and unused) below that. See the `fastpath`
-    /// module docs.
-    pub(crate) wide: Value,
-    /// Nodes for levels still unsatisfied. Never contains a level <= value.
-    pub(crate) waiting: SortedList,
-    /// Nodes whose level has been satisfied but whose waiters have not all
-    /// resumed yet — these are the "set" nodes still drawn in the waiting
-    /// structure of Figure 2 (e) and (f). The last waiter to resume removes
-    /// its node from here. Poisoned nodes drain through here too.
-    pub(crate) draining: Vec<Arc<WaitNode>>,
-    /// The first poisoning cause, if any. Set at most once.
-    pub(crate) poisoned: Option<FailureInfo>,
-}
+use crate::trace::TraceLog;
+use crate::waitcore::WaitCore;
+use std::sync::Arc;
 
 /// The reference monotonic counter: a packed-word fast path over one lock
 /// plus a sorted singly-linked list of condition-variable nodes, the
-/// structure of the paper's Section 7 and Figure 2.
-///
-/// * `check` with a satisfied level returns after a single atomic load.
-/// * `increment` with no registered waiters is a single CAS.
-/// * `check` with an unsatisfied level finds-or-inserts the node for that
-///   level and suspends on its condition variable; all threads waiting on the
-///   same level share one node.
-/// * `increment` while waiters exist takes the lock, bumps the value and
-///   removes every node whose level the new value satisfies from the list,
-///   sets its signal flag, and broadcasts.
-///
-/// Storage and operation time on the slow path are proportional to the number
-/// of **distinct levels currently waited on**, not to the number of waiting
-/// threads; the fast paths cost no storage at all.
+/// structure of the paper's Section 7 and Figure 2. See [`WaitCore`] for the
+/// operation costs.
 ///
 /// # Example
 ///
@@ -65,87 +30,16 @@ pub(crate) struct Inner {
 /// c.increment(5);
 /// c.check(5); // already satisfied: returns immediately
 /// ```
-pub struct Counter {
-    fast: FastWord,
-    /// `false` disables the lock-free tier so every operation takes the
-    /// mutex — the ablation baseline for experiment E8 and the mode used
-    /// while tracing (every transition must be recorded under the lock).
-    fast_enabled: bool,
-    inner: Mutex<Inner>,
-    stats: Stats,
-    /// `false` turns `poison` into a no-op ([`PoisonPolicy::Ignore`]).
-    ///
-    /// [`PoisonPolicy::Ignore`]: crate::PoisonPolicy::Ignore
-    poison_enabled: bool,
-    /// When present (via [`crate::TracingCounter`]), a structure snapshot is
-    /// appended at every transition, under the lock.
-    trace: Option<Arc<TraceLog>>,
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::builder().build()
-    }
-}
-
-impl Buildable for Counter {
-    fn from_config(cfg: &BuildConfig) -> Self {
-        Counter {
-            fast: FastWord::new(cfg.initial()),
-            fast_enabled: true,
-            inner: Mutex::new(Inner {
-                wide: cfg.initial(),
-                waiting: SortedList::new(),
-                draining: Vec::new(),
-                poisoned: None,
-            }),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
-            trace: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
-        f.debug_struct("Counter")
-            .field("value", &self.fast.locked_value(inner.wide))
-            .field("waiting_levels", &inner.waiting.levels())
-            .field("draining", &inner.draining.len())
-            .finish()
-    }
-}
+pub type Counter = WaitCore<SortedList>;
 
 impl Counter {
-    /// Starts building a counter: set the knobs, then
-    /// [`build`](CounterBuilder::build).
-    pub fn builder() -> CounterBuilder<Self> {
-        CounterBuilder::new()
-    }
-
-    /// Creates a counter with value zero and no waiting threads.
-    #[deprecated(note = "use CounterBuilder: `Counter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value` (phase-reuse and resume
-    /// scenarios; equivalent to building at 0 followed by
-    /// `advance_to(value)`).
-    #[deprecated(note = "use CounterBuilder: `Counter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-
     /// Creates a counter with the fast path disabled: every operation takes
     /// the mutex, exactly the seed Section 7 implementation. This is the
     /// ablation baseline the E8 experiment compares the fast path against.
     pub fn mutex_only() -> Self {
-        Counter {
-            fast_enabled: false,
-            ..Self::builder().build()
-        }
+        let mut counter = Self::builder().build();
+        counter.fast_enabled = false;
+        counter
     }
 
     /// Creates a counter that records structure snapshots into the returned
@@ -154,390 +48,24 @@ impl Counter {
     /// lock, and therefore the log) is disabled.
     pub(crate) fn new_traced(cfg: &BuildConfig) -> (Self, Arc<TraceLog>) {
         let log = Arc::new(TraceLog::default());
-        let counter = Counter {
-            trace: Some(Arc::clone(&log)),
-            fast_enabled: false,
-            ..Self::from_config(cfg)
-        };
-        counter.record(&counter.lock());
+        let mut counter = Self::from_config(cfg);
+        counter.trace = Some(Arc::clone(&log));
+        counter.fast_enabled = false;
+        counter.with_inner(|inner, value| log.push(crate::trace::snapshot_of(inner, value)));
         (counter, log)
-    }
-
-    /// Appends the current structure to the trace log, if tracing.
-    fn record(&self, inner: &Inner) {
-        if let Some(log) = &self.trace {
-            log.push(snapshot_of(inner, self.fast.locked_value(inner.wide)));
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // Lock poisoning can only arise from a panic inside these short
-        // critical sections, which would indicate a bug in this crate, not in
-        // user code; propagating the panic is the correct response.
-        self.inner.lock().expect("counter lock poisoned")
-    }
-
-    /// Core of the slow-path `increment`/`try_increment`: returns the
-    /// satisfied nodes to notify after the lock is released.
-    fn raise(&self, amount: Value) -> Result<Vec<Arc<WaitNode>>, CounterOverflowError> {
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let new_value = self.fast.locked_add(&mut inner.wide, amount)?;
-        self.stats.record_increment();
-        let satisfied = inner.waiting.remove_satisfied(new_value);
-        for node in &satisfied {
-            node.signal();
-            inner.draining.push(Arc::clone(node));
-            self.stats.record_notify();
-        }
-        if inner.waiting.is_empty() {
-            self.fast.clear_waiters();
-        }
-        self.record(&inner);
-        Ok(satisfied)
-    }
-
-    /// Called by a resuming waiter (lock held): deregister from `node`, and if
-    /// it was the last waiter, remove the node from the draining list.
-    fn resume_from(&self, inner: &mut Inner, node: &Arc<WaitNode>) {
-        self.stats.record_waiter_resumed();
-        if node.remove_waiter() {
-            inner.draining.retain(|n| !Arc::ptr_eq(n, node));
-            self.stats.record_node_freed();
-        }
-        self.record(inner);
-    }
-
-    /// Levels currently waited on, in ascending order (diagnostics/tests).
-    pub fn waiting_levels(&self) -> Vec<Value> {
-        self.lock().waiting.levels()
-    }
-
-    /// Number of live wait nodes: unsatisfied levels plus satisfied levels
-    /// still draining (diagnostics/tests, Section 7 storage measurements).
-    pub fn live_nodes(&self) -> usize {
-        let inner = self.lock();
-        inner.waiting.len() + inner.draining.len()
-    }
-
-    /// Whether the packed word currently advertises waiters
-    /// (diagnostics/tests for the fast-path protocol).
-    #[cfg(test)]
-    pub(crate) fn advertises_waiters(&self) -> bool {
-        self.fast.has_waiters()
-    }
-
-    pub(crate) fn with_inner<R>(&self, f: impl FnOnce(&Inner, Value) -> R) -> R {
-        let inner = self.lock();
-        let value = self.fast.locked_value(inner.wide);
-        f(&inner, value)
-    }
-}
-
-impl MonotonicCounter for Counter {
-    fn increment(&self, amount: Value) {
-        if self.fast_enabled {
-            match self.fast.try_increment(amount) {
-                FastIncrement::Done => {
-                    self.stats.record_fast_increment();
-                    return;
-                }
-                FastIncrement::Overflow(e) => panic!("monotonic counter overflow: {e}"),
-                FastIncrement::Contended => {}
-            }
-        }
-        let satisfied = self
-            .raise(amount)
-            .unwrap_or_else(|e| panic!("monotonic counter overflow: {e}"));
-        // Broadcast outside the lock: the flag is already set under the lock,
-        // so a waiter that re-checks before our notify arrives simply exits
-        // its wait loop; nobody can miss the wakeup.
-        for node in satisfied {
-            node.cv.notify_all();
-        }
-    }
-
-    fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        if self.fast_enabled {
-            match self.fast.try_increment(amount) {
-                FastIncrement::Done => {
-                    self.stats.record_fast_increment();
-                    return Ok(());
-                }
-                FastIncrement::Overflow(e) => return Err(e),
-                FastIncrement::Contended => {}
-            }
-        }
-        let satisfied = self.raise(amount)?;
-        for node in satisfied {
-            node.cv.notify_all();
-        }
-        Ok(())
-    }
-
-    fn advance_to(&self, target: Value) {
-        if self.fast_enabled {
-            match self.fast.try_advance(target) {
-                FastAdvance::Raised => {
-                    self.stats.record_fast_increment();
-                    return;
-                }
-                FastAdvance::NoOp => return,
-                FastAdvance::Contended => {}
-            }
-        }
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
-                return;
-            };
-            self.stats.record_increment();
-            let satisfied = inner.waiting.remove_satisfied(new_value);
-            for node in &satisfied {
-                node.signal();
-                inner.draining.push(Arc::clone(node));
-                self.stats.record_notify();
-            }
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.record(&inner);
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
-        }
-    }
-
-    fn wait(&self, level: Value) -> Result<(), CheckError> {
-        if self.fast_enabled && self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        // Announce intent to wait *before* re-reading the value: the
-        // register RMW and fast-path increment CASes hit the same word, so
-        // whichever is ordered later sees the other (no missed wakeup; see
-        // the fastpath module docs).
-        let value = self.fast.register_waiter(inner.wide);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        // A wait that would suspend on a poisoned counter fails immediately:
-        // the increments it depends on are owed by a thread that is gone.
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let (node, inserted) = inner.waiting.find_or_insert(level);
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        self.record(&inner);
-        while !node.is_set() && !node.is_poisoned() {
-            inner = node
-                .cv
-                .wait(inner)
-                .expect("counter lock poisoned while waiting");
-        }
-        let poisoned = node.is_poisoned();
-        self.resume_from(&mut inner, &node);
-        if poisoned {
-            let info = inner
-                .poisoned
-                .clone()
-                .expect("poisoned wait node without a recorded cause");
-            return Err(CheckError::Poisoned(info));
-        }
-        Ok(())
-    }
-
-    fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
-        if self.fast_enabled && self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.fast.register_waiter(inner.wide);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let (node, inserted) = inner.waiting.find_or_insert(level);
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        self.record(&inner);
-        loop {
-            // Check order matters: satisfied first (a satisfied level owes
-            // nothing, even when poisoning raced in), then poisoned (the
-            // node already left the waiting list at poison time, so the
-            // timeout-removal branch below must not run for it), then the
-            // deadline.
-            if node.is_set() {
-                self.resume_from(&mut inner, &node);
-                return Ok(());
-            }
-            if node.is_poisoned() {
-                self.resume_from(&mut inner, &node);
-                let info = inner
-                    .poisoned
-                    .clone()
-                    .expect("poisoned wait node without a recorded cause");
-                return Err(CheckError::Poisoned(info));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // Abandon the wait. If we are the last waiter at this level
-                // and the level was never satisfied, the node must leave the
-                // waiting list, or a future increment would signal a dead
-                // node (harmless) while the list length misreports storage.
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    inner.waiting.remove_level(level);
-                    self.stats.record_node_freed();
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                }
-                self.record(&inner);
-                return Err(CheckError::Timeout(CheckTimeoutError { level }));
-            }
-            let (guard, _timed_out) = node
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .expect("counter lock poisoned while waiting");
-            inner = guard;
-        }
-    }
-
-    fn poison(&self, info: FailureInfo) {
-        if !self.poison_enabled {
-            return;
-        }
-        let swept = {
-            let mut inner = self.lock();
-            if inner.poisoned.is_some() {
-                return; // the first failure is the cause; later ones are noise
-            }
-            self.fast.set_poison();
-            inner.poisoned = Some(info);
-            // Sweep *every* waiting node (u64::MAX satisfies all levels):
-            // each is marked poisoned instead of set and drains through the
-            // same last-waiter-frees protocol as a satisfied node.
-            let swept = inner.waiting.remove_satisfied(Value::MAX);
-            for node in &swept {
-                node.poison();
-                inner.draining.push(Arc::clone(node));
-                self.stats.record_notify();
-            }
-            self.fast.clear_waiters();
-            self.record(&inner);
-            swept
-        };
-        // Broadcast outside the lock, exactly as `increment` does.
-        for node in swept {
-            node.cv.notify_all();
-        }
-    }
-
-    fn poison_info(&self) -> Option<FailureInfo> {
-        // The packed word's poison bit is set under the same lock that
-        // publishes the cause, so a clear bit means "not poisoned" without
-        // taking the lock.
-        if !self.fast.is_poisoned() {
-            return None;
-        }
-        self.lock().poisoned.clone()
-    }
-}
-
-impl ResumableCounter for Counter {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-}
-
-impl Resettable for Counter {
-    fn reset(&mut self) {
-        let inner = self.inner.get_mut().expect("counter lock poisoned");
-        debug_assert!(
-            inner.waiting.is_empty() && inner.draining.is_empty(),
-            "reset called while threads wait on the counter"
-        );
-        inner.wide = 0;
-        inner.poisoned = None;
-        self.fast.reset(0);
-    }
-}
-
-impl CounterDiagnostics for Counter {
-    fn debug_value(&self) -> Value {
-        // Below FAST_CAP the hint is exact, so no lock is needed; above it
-        // the exact value lives in `wide` under the lock.
-        let hint = self.fast.value_hint();
-        if hint < FAST_CAP {
-            hint
-        } else {
-            self.lock().wide
-        }
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn impl_name(&self) -> &'static str {
-        if self.fast_enabled {
-            "waitlist"
-        } else {
-            "waitlist-mutex-only"
-        }
-    }
-
-    fn waiters(&self) -> Vec<WaitingLevel> {
-        self.lock()
-            .waiting
-            .nodes()
-            .iter()
-            .map(|n| WaitingLevel {
-                level: n.level,
-                threads: n.waiter_count(),
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{CheckError, FailureInfo};
+    use crate::fastpath::FAST_CAP;
+    use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
     use std::thread;
+    use std::time::Duration;
 
     const SHORT: Duration = Duration::from_millis(50);
     const LONG: Duration = Duration::from_secs(10);

@@ -1,5 +1,5 @@
-//! The packed-word fast path shared by the lock-based counter
-//! implementations.
+//! The packed-word fast path in front of [`WaitCore`](crate::WaitCore), and
+//! so of `Counter`, `BTreeCounter` and `ShardedCounter`.
 //!
 //! One `AtomicU64` packs the counter state the hot paths need:
 //!
@@ -27,8 +27,7 @@
 //! sleep". Both decisions here are made on the *same* atomic word, with
 //! read-modify-write operations, so the hardware's per-word coherence order
 //! decides the race — no fence subtleties, no store-buffering reordering
-//! (which would need `SeqCst` if value and flag were separate words, as a
-//! previous revision of `AtomicCounter` did):
+//! (which would need `SeqCst` if value and flag were separate words):
 //!
 //! * The checker (holding the slow-path mutex) announces itself with
 //!   [`FastWord::register_waiter`] — `fetch_or(W)` — and examines the word
@@ -141,6 +140,7 @@ impl FastWord {
     /// [`FAST_CAP`]). `Acquire`: pairs with the `AcqRel` RMWs of increments
     /// so data written before an increment is visible after a satisfied
     /// check.
+    #[inline]
     pub(crate) fn value_hint(&self) -> Value {
         self.packed.load(Acquire) >> SHIFT
     }
@@ -150,6 +150,7 @@ impl FastWord {
     /// One `Acquire` load; the poison bit is deliberately not consulted —
     /// an already-satisfied level stays satisfied (monotonicity), poisoned
     /// or not, so the satisfied-check hot path costs no extra atomics.
+    #[inline]
     pub(crate) fn is_satisfied(&self, level: Value) -> bool {
         self.value_hint() >= level
     }
@@ -157,6 +158,7 @@ impl FastWord {
     /// Whether the waiters bit is currently set. One `Acquire` load; the
     /// sharded counter's increment fast path reads it (after a `SeqCst`
     /// fence) to decide between eager and lazy publication.
+    #[inline]
     pub(crate) fn has_waiters(&self) -> bool {
         self.packed.load(Acquire) & WAITERS_BIT != 0
     }
@@ -164,6 +166,7 @@ impl FastWord {
     /// Whether the poison bit is set. One `Acquire` load; used by
     /// `poison_info` to skip the lock on the overwhelmingly common
     /// not-poisoned case.
+    #[inline]
     pub(crate) fn is_poisoned(&self) -> bool {
         self.packed.load(Acquire) & POISON_BIT != 0
     }
@@ -171,6 +174,7 @@ impl FastWord {
     /// Sets the poison bit. Must be called with the slow-path lock held,
     /// after storing the `FailureInfo`; the bit is a hint that `poison_info`
     /// may need the lock, never a substitute for the locked state.
+    #[inline]
     pub(crate) fn set_poison(&self) {
         self.packed.fetch_or(POISON_BIT, AcqRel);
     }
@@ -178,6 +182,7 @@ impl FastWord {
     /// Lock-free increment attempt. Never touches the wait list: succeeds
     /// only while no waiter is registered and the result stays below
     /// [`FAST_CAP`].
+    #[inline]
     pub(crate) fn try_increment(&self, amount: Value) -> FastIncrement {
         let mut word = self.packed.load(Relaxed);
         loop {
@@ -210,6 +215,7 @@ impl FastWord {
 
     /// Lock-free `advance_to` attempt, same preconditions as
     /// [`try_increment`](Self::try_increment).
+    #[inline]
     pub(crate) fn try_advance(&self, target: Value) -> FastAdvance {
         let mut word = self.packed.load(Relaxed);
         loop {
@@ -245,6 +251,7 @@ impl FastWord {
     /// missed-wakeup argument: decode it (against `wide`) and re-test the
     /// level — any fast increment not visible in it is ordered after the
     /// `fetch_or` and therefore guaranteed to observe the waiters bit.
+    #[inline]
     pub(crate) fn register_waiter(&self, wide: Value) -> Value {
         Self::decode(self.packed.fetch_or(WAITERS_BIT, AcqRel), wide)
     }
@@ -253,11 +260,13 @@ impl FastWord {
     /// unsatisfied wait list has just become empty (sweep, or the last timed
     /// waiter abandoning); draining nodes never need the bit — their wakeup
     /// is already signalled.
+    #[inline]
     pub(crate) fn clear_waiters(&self) {
         self.packed.fetch_and(!WAITERS_BIT, AcqRel);
     }
 
     /// True value while holding the slow-path lock.
+    #[inline]
     pub(crate) fn locked_value(&self, wide: Value) -> Value {
         Self::decode(self.packed.load(Acquire), wide)
     }
@@ -269,6 +278,7 @@ impl FastWord {
     /// operation, and a plain store would erase their increments. Saturated
     /// words can't race (fast paths bail out at [`FAST_CAP`]), so reading
     /// `wide` inside the closure is stable under the lock.
+    #[inline]
     pub(crate) fn locked_add(
         &self,
         wide: &mut Value,
@@ -298,6 +308,7 @@ impl FastWord {
 
     /// Slow-path `advance_to`, lock held. Returns the new value if raised,
     /// `None` when the target was already satisfied.
+    #[inline]
     pub(crate) fn locked_advance(&self, wide: &mut Value, target: Value) -> Option<Value> {
         let result = self.packed.fetch_update(AcqRel, Acquire, |word| {
             let value = Self::decode(word, *wide);

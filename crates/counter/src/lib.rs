@@ -31,11 +31,9 @@
 //! | [`Counter`] | packed-word | sorted singly-linked list of condvar nodes | the paper's Section 7 implementation (including Figure 2's draining nodes), with lock-free uncontended paths layered on top |
 //! | [`BTreeCounter`] | packed-word | `BTreeMap` of condvar nodes | same algorithm, O(log L) level lookup |
 //! | [`NaiveCounter`] | — | one condvar, broadcast on every increment | the strawman the paper improves on: O(threads) wakeups |
-//! | [`ParkingCounter`] | packed-word | `BTreeMap` of `parking_lot` condvar nodes | modern userspace-queue substrate |
-//! | [`AtomicCounter`] | packed-word | `BTreeMap` slow path | the minimal reference for the shared fast-path protocol |
 //! | [`SpinCounter`] | always | none — waiters busy-spin | the no-suspension-queue end of the design space |
 //! | [`MonitorCounter`] | — | one predicate monitor | counters expressed via Section 8's monitor comparison |
-//! | [`ShardedCounter`] | packed-word + striped cells | sorted list of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
+//! | [`ShardedCounter`] | packed-word + striped cells | `BTreeMap` of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
 //!
 //! The queue-structured implementations share the key complexity property of
 //! Section 7: storage and wakeup work are proportional to the **number of
@@ -50,6 +48,12 @@
 //! structure are touched only when a thread actually suspends or must be
 //! woken. [`StatsSnapshot`] exposes per-tier hit counters
 //! (`fast_increments`, `fast_checks`, `slow_path_entries`).
+//!
+//! Behind the fast path, the packed-word implementations share one slow
+//! path, [`WaitCore`]: [`Counter`] and [`BTreeCounter`] are `WaitCore`
+//! instantiated with the paper's sorted list and with a `BTreeMap` as its
+//! [`LevelQueue`], and [`ShardedCounter`] puts striped cells in front of one.
+//! Suspension, timeout, poisoning and wakeup are written once, there.
 //!
 //! ## API surface
 //!
@@ -88,8 +92,8 @@
 //! Every implementation is built through one fluent path, [`CounterBuilder`]
 //! (reachable as `Type::builder()`), which exposes the knobs shared across
 //! implementations: initial value, shard count, capacity, statistics
-//! collection, and [`PoisonPolicy`]. The legacy `new`/`with_value`
-//! constructors remain as deprecated shims.
+//! collection, and [`PoisonPolicy`]. `Default` is the same as building
+//! with every knob at its default.
 //!
 //! ## Quickstart
 //!
@@ -111,7 +115,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod atomic;
 mod btree;
 mod builder;
 mod counter;
@@ -124,7 +127,6 @@ mod multi;
 mod naive;
 mod node;
 mod obligation;
-mod parking;
 mod sharded;
 mod spin;
 mod stats;
@@ -132,8 +134,8 @@ mod supervisor;
 pub mod testkit;
 mod trace;
 mod traits;
+mod waitcore;
 
-pub use atomic::AtomicCounter;
 pub use btree::BTreeCounter;
 pub use builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink, PoisonPolicy};
 pub use counter::Counter;
@@ -143,7 +145,6 @@ pub use monitor_impl::MonitorCounter;
 pub use multi::{check_all, CounterSet};
 pub use naive::NaiveCounter;
 pub use obligation::Obligation;
-pub use parking::ParkingCounter;
 pub use sharded::ShardedCounter;
 pub use spin::SpinCounter;
 pub use stats::StatsSnapshot;
@@ -157,6 +158,7 @@ pub use traits::{
     CounterDiagnostics, CounterExt, HealthStatus, MonotonicCounter, Resettable, ResumableCounter,
     WaitingLevel,
 };
+pub use waitcore::{LevelQueue, WaitCore};
 
 /// The integer type used for counter values and levels.
 ///

@@ -55,18 +55,6 @@ impl NaiveCounter {
     pub fn builder() -> CounterBuilder<Self> {
         CounterBuilder::new()
     }
-
-    /// Creates a counter with value zero.
-    #[deprecated(note = "use CounterBuilder: `NaiveCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value`.
-    #[deprecated(note = "use CounterBuilder: `NaiveCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
 }
 
 impl MonotonicCounter for NaiveCounter {

@@ -15,7 +15,7 @@ use std::sync::Condvar;
 /// `Arc` without `unsafe`, and relaxed ordering suffices because the mutex
 /// provides all necessary synchronization.
 #[derive(Debug)]
-pub(crate) struct WaitNode {
+pub struct WaitNode {
     /// The level threads at this node are waiting for. Immutable.
     pub(crate) level: Value,
     /// Number of threads currently registered at this node. The thread that
@@ -47,31 +47,38 @@ impl WaitNode {
         }
     }
 
+    #[inline]
     pub(crate) fn is_set(&self) -> bool {
         self.set.load(Relaxed)
     }
 
+    #[inline]
     pub(crate) fn signal(&self) {
         self.set.store(true, Relaxed);
     }
 
+    #[inline]
     pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned.load(Relaxed)
     }
 
+    #[inline]
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Relaxed);
     }
 
+    #[inline]
     pub(crate) fn add_waiter(&self) {
         self.count.fetch_add(1, Relaxed);
     }
 
     /// Removes one waiter; returns `true` if this was the last one.
+    #[inline]
     pub(crate) fn remove_waiter(&self) -> bool {
         self.count.fetch_sub(1, Relaxed) == 1
     }
 
+    #[inline]
     pub(crate) fn waiter_count(&self) -> usize {
         self.count.load(Relaxed)
     }

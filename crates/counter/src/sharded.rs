@@ -19,10 +19,10 @@
 //! The *published* value lives in the same [`FastWord`] the other
 //! implementations use, so the read side is completely unchanged: a satisfied
 //! `check` is still a single `Acquire` load, and the suspend/wake slow path is
-//! the Section 7 waitlist (one node per distinct level, satisfied nodes swept
-//! on publication). Only the write side changes: an increment lands in a
-//! striped cell and becomes *visible to checks* when a combiner publishes the
-//! accumulated deltas into the word.
+//! a [`BTreeCounter`]'s [`WaitCore`](crate::WaitCore) (one node per distinct
+//! level, satisfied nodes swept on publication). Only the write side
+//! changes: an increment lands in a striped cell and becomes *visible to
+//! checks* when a combiner publishes the accumulated deltas into the word.
 //!
 //! # Publication rules (the combiner)
 //!
@@ -88,14 +88,16 @@
 //! increment overlapped the jump and is ordered before it) instead of
 //! failing.
 
+use crate::btree::BTreeCounter;
 use crate::builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
-use crate::fastpath::{FastAdvance, FastIncrement, FastWord};
+use crate::error::{CheckError, CounterOverflowError, FailureInfo};
+use crate::fastpath::{FastAdvance, FastIncrement};
 use crate::node::WaitNode;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::traits::{
     CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
 };
+use crate::waitcore::Inner;
 use crate::Value;
 use mc_metrics::{Event, Histogram};
 use std::collections::BTreeMap;
@@ -103,7 +105,7 @@ use std::sync::atomic::{
     fence, AtomicU64, AtomicUsize,
     Ordering::{AcqRel, Relaxed, SeqCst},
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Largest amount the cells-only fast tier accepts; bigger increments take
@@ -166,14 +168,6 @@ impl CombinerMetrics {
     }
 }
 
-struct Inner {
-    /// Exact value once the packed hint saturates; see [`crate::fastpath`].
-    wide: Value,
-    waiting: WaitMap,
-    /// The first poisoning cause, if any. Set at most once.
-    poisoned: Option<FailureInfo>,
-}
-
 /// A monotonic counter whose increments are striped across cache-line-padded
 /// per-thread cells, for write-heavy contention.
 ///
@@ -189,8 +183,8 @@ struct Inner {
 /// sets the stripe count (rounded up to a power of two, default derived from
 /// [`std::thread::available_parallelism`]) and its `capacity` knob bounds
 /// the per-cell unpublished backlog.
+#[repr(C)] // `core` last keeps its stats block away from the hot fields
 pub struct ShardedCounter {
-    fast: FastWord,
     cells: Box<[Cell]>,
     /// `cells.len() - 1`; cell count is always a power of two.
     mask: usize,
@@ -200,10 +194,10 @@ pub struct ShardedCounter {
     flush_threshold: AtomicU64,
     /// Upper bound for `flush_threshold` (the builder's `capacity`).
     max_backlog: u64,
-    inner: Mutex<Inner>,
-    stats: Stats,
-    poison_enabled: bool,
     metrics: Option<CombinerMetrics>,
+    /// The published value, the waitlist and the stats: everything but the
+    /// cells and the combiner.
+    core: BTreeCounter,
 }
 
 impl Default for ShardedCounter {
@@ -215,7 +209,7 @@ impl Default for ShardedCounter {
 impl std::fmt::Debug for ShardedCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCounter")
-            .field("published", &self.fast.value_hint())
+            .field("published", &self.core.fast.value_hint())
             .field("pending", &self.pending())
             .field("shards", &self.cells.len())
             .finish()
@@ -251,18 +245,6 @@ impl ShardedCounter {
         CounterBuilder::new()
     }
 
-    /// Creates a counter with value zero and the default shard count.
-    #[deprecated(note = "use CounterBuilder: `ShardedCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value` with the default shard count.
-    #[deprecated(note = "use CounterBuilder: `ShardedCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-
     /// The number of increment stripes (always a power of two).
     pub fn shard_count(&self) -> usize {
         self.cells.len()
@@ -279,10 +261,6 @@ impl ShardedCounter {
         self.flush_threshold.load(Relaxed)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("counter lock poisoned")
-    }
-
     fn cell(&self) -> &Cell {
         &self.cells[thread_slot() & self.mask]
     }
@@ -294,22 +272,29 @@ impl ShardedCounter {
         self.cells.iter().map(|c| c.pending.swap(0, AcqRel)).sum()
     }
 
-    /// Publishes `pending` into the fast word under the lock and sweeps the
-    /// newly satisfied waiters. Returns the new published value and the
-    /// swept nodes (signalled, not yet notified — the caller decides whether
-    /// to notify under or after the lock). Infallible: pending sums stay far
-    /// below overflow while the published value is in the fast regime, and
-    /// the one way out of that regime mid-park (a concurrent jump, below)
-    /// saturates instead of failing.
+    /// Drains the cells and publishes their sum under the lock; see
+    /// [`publish`](Self::publish).
+    fn publish_locked(&self, inner: &mut Inner<WaitMap>) -> Vec<Arc<WaitNode>> {
+        let pending = self.drain_cells();
+        self.publish(inner, pending)
+    }
+
+    /// Publishes drained deltas into the fast word under the lock, sweeping
+    /// the newly satisfied waiters. Returns the swept nodes (signalled, not
+    /// yet notified). Infallible: pending sums stay far below overflow while
+    /// the published value is in the fast regime, and the one way out of
+    /// that regime mid-park (a concurrent jump, below) saturates instead of
+    /// failing.
     ///
-    /// Deliberately does **not** clear the waiters bit on an emptied map:
-    /// `register_and_drain` calls this between setting the bit and the
-    /// caller's node insertion, where clearing would let increments go lazy
-    /// under a live waiter. Call sites where no registration is in flight
-    /// clear the bit themselves.
-    fn publish_locked(&self, inner: &mut Inner, pending: Value) -> (Value, Vec<Arc<WaitNode>>) {
+    /// Like the core's `add_locked`, this does **not** clear the waiters bit
+    /// on an emptied queue: `register_and_drain` calls it between setting
+    /// the bit and the caller's node insertion, where clearing would let
+    /// increments go lazy under a live waiter. Every other call site ends in
+    /// `WaitCore::release`, which settles the bit once no registration is in
+    /// flight.
+    fn publish(&self, inner: &mut Inner<WaitMap>, pending: Value) -> Vec<Arc<WaitNode>> {
         if pending == 0 {
-            return (self.fast.locked_value(inner.wide), Vec::new());
+            return Vec::new();
         }
         // Deltas are parked only while the published value is inside the
         // fast regime, but the gate load in `try_increment` races concurrent
@@ -320,19 +305,11 @@ impl ShardedCounter {
         // jump — where it fits below the jump target and is subsumed by it —
         // is a valid history: saturate at `u64::MAX`, the counter's terminal
         // value, rather than panic in whichever thread flushes next.
-        let new_value = match self.fast.locked_add(&mut inner.wide, pending) {
-            Ok(value) => value,
-            Err(_) => self
-                .fast
-                .locked_advance(&mut inner.wide, Value::MAX)
-                .unwrap_or(Value::MAX),
-        };
-        let satisfied = Self::remove_satisfied(&mut inner.waiting, new_value);
-        for node in &satisfied {
-            node.signal();
-            self.stats.record_notify();
-        }
-        (new_value, satisfied)
+        self.core.add_locked(inner, pending).unwrap_or_else(|_| {
+            self.core
+                .advance_locked(inner, Value::MAX)
+                .unwrap_or_default()
+        })
     }
 
     /// Drains the cells and publishes, taking the lock only when waiters (or
@@ -343,24 +320,16 @@ impl ShardedCounter {
         if pending == 0 {
             return;
         }
-        match self.fast.try_increment(pending) {
+        match self.core.fast.try_increment(pending) {
             FastIncrement::Done => {}
             // Waiters registered or hint saturated: publish under the lock
-            // so the sweep runs (`publish_locked` absorbs the saturation
-            // corner, so no error can surface here).
+            // so the sweep runs (`publish` absorbs the saturation corner, so
+            // no error can surface here).
             FastIncrement::Contended | FastIncrement::Overflow(_) => {
-                let satisfied = {
-                    let mut inner = self.lock();
-                    self.stats.record_slow_entry();
-                    let satisfied = self.publish_locked(&mut inner, pending).1;
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                    satisfied
-                };
-                for node in satisfied {
-                    node.cv.notify_all();
-                }
+                let mut inner = self.core.lock();
+                self.core.stats.record_slow_entry();
+                let woken = self.publish(&mut inner, pending);
+                self.core.release(inner, woken);
             }
         }
     }
@@ -370,19 +339,10 @@ impl ShardedCounter {
     /// so drain and publish under the lock, waking whoever the new value
     /// satisfies.
     fn flush_for_waiters(&self) {
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let pending = self.drain_cells();
-            let satisfied = self.publish_locked(&mut inner, pending).1;
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
-        }
+        let mut inner = self.core.lock();
+        self.core.stats.record_slow_entry();
+        let woken = self.publish_locked(&mut inner);
+        self.core.release(inner, woken);
     }
 
     /// Grows the adaptive threshold after a flush no waiter was hurt by.
@@ -396,82 +356,57 @@ impl ShardedCounter {
         }
     }
 
-    /// Snaps the threshold back to eager when a waiter shows up, so the
-    /// published value stays fresh while anybody might be watching.
-    fn tighten_threshold(&self) {
-        self.flush_threshold.store(MIN_FLUSH_THRESHOLD, Relaxed);
-    }
-
-    fn remove_satisfied(waiting: &mut WaitMap, value: Value) -> Vec<Arc<WaitNode>> {
-        match value.checked_add(1) {
-            Some(next) => {
-                let rest = waiting.split_off(&next);
-                std::mem::replace(waiting, rest).into_values().collect()
-            }
-            None => std::mem::take(waiting).into_values().collect(),
-        }
-    }
-
     /// Slow path of `increment`: drain, publish pending, then apply `amount`
     /// with exact overflow checking, sweeping and waking as one atomic step
     /// under the lock.
     fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let pending = self.drain_cells();
-            let mut satisfied = self.publish_locked(&mut inner, pending).1;
-            // The pending publication may have signalled waiters (already
-            // removed from the map), so the overflow arm must still notify
-            // them — an early `?` here would strand them in `Condvar::wait`.
-            let new_value = match self.fast.locked_add(&mut inner.wide, amount) {
-                Ok(value) => value,
-                Err(e) => {
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                    drop(inner);
-                    for node in satisfied {
-                        node.cv.notify_all();
-                    }
-                    return Err(e);
-                }
-            };
-            self.stats.record_increment();
-            let mut more = Self::remove_satisfied(&mut inner.waiting, new_value);
-            for node in &more {
-                node.signal();
-                self.stats.record_notify();
-            }
-            satisfied.append(&mut more);
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
-        }
-        Ok(())
+        let mut inner = self.core.lock();
+        self.core.stats.record_slow_entry();
+        let mut woken = self.publish_locked(&mut inner);
+        // The pending publication may have swept waiters, so the overflow
+        // arm must still wake them — an early `?` here would strand them in
+        // `Condvar::wait`.
+        let result = self.core.add_locked(&mut inner, amount).map(|more| {
+            self.core.stats.record_increment();
+            woken.extend(more);
+        });
+        self.core.release(inner, woken);
+        result
     }
 
     /// Registers the waiter bit, drains the cells (the fence pair with the
     /// increment fast path — see the module docs), publishes, and returns
     /// the resulting value. Lock held.
-    fn register_and_drain(&self, inner: &mut Inner) -> Value {
-        let registered = self.fast.register_waiter(inner.wide);
+    fn register_and_drain(&self, inner: &mut Inner<WaitMap>) -> Value {
+        self.core.fast.register_waiter(inner.wide);
         fence(SeqCst);
-        let pending = self.drain_cells();
-        if pending == 0 {
-            return registered;
-        }
-        let (value, satisfied) = self.publish_locked(inner, pending);
-        for node in satisfied {
+        for node in self.publish_locked(inner) {
             // Notifying while holding the lock is safe (waiters re-acquire
             // it inside `Condvar::wait` anyway) and keeps this path simple.
             node.cv.notify_all();
         }
-        value
+        // With the bit set no lock-free path moves the word any more, so
+        // this is the registering RMW's value plus what was just published.
+        self.core.fast.locked_value(inner.wide)
+    }
+
+    /// The slow half of `wait`/`wait_timeout`: self-service combine, then
+    /// the core's blocking wait with cell draining as its registration step.
+    fn wait_slow(&self, level: Value, timeout: Option<Duration>) -> Result<(), CheckError> {
+        // Tier 2: self-service combine — publish the cells and re-test, so a
+        // logically reached value never suspends its observer. Lock-free
+        // while no waiters are registered.
+        self.combine();
+        if self.core.fast.is_satisfied(level) {
+            self.core.stats.record_fast_check();
+            return Ok(());
+        }
+        // Tier 3: the Section 7 waitlist. A waiter snaps the threshold back
+        // to eager, so the published value stays fresh while it watches.
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.flush_threshold.store(MIN_FLUSH_THRESHOLD, Relaxed);
+        self.core
+            .wait_until(level, deadline, |inner| self.register_and_drain(inner))
     }
 }
 
@@ -482,25 +417,26 @@ impl MonotonicCounter for ShardedCounter {
     }
 
     fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
+        let fast = &self.core.fast;
         // Fast-regime gate: one read-mostly load. Outside it (huge amounts,
         // waiters already known, values near saturation) take the exact
         // locked path directly instead of parking the delta.
-        if amount > MAX_FAST_AMOUNT || self.fast.value_hint() >= FAST_REGIME_LIMIT {
+        if amount > MAX_FAST_AMOUNT || fast.value_hint() >= FAST_REGIME_LIMIT {
             return self.raise(amount);
         }
         let cell = &self.cell().pending;
         let pend = cell.fetch_add(amount, AcqRel) + amount;
-        self.stats.record_fast_increment();
+        self.core.stats.record_fast_increment();
         // Dekker handshake with a registering waiter: cell RMW, fence, then
         // the waiters-bit test (the waiter does bit RMW, fence, cell drain).
         fence(SeqCst);
-        if self.fast.value_hint() >= FAST_REGIME_LIMIT {
+        if fast.value_hint() >= FAST_REGIME_LIMIT {
             // A concurrent advance/raise jumped the published value past the
             // regime gate while we parked. Flush through the lock right away
             // so the delta is folded in (or saturated, see `publish_locked`)
             // instead of lingering in a cell outside the bounded regime.
             self.flush_for_waiters();
-        } else if self.fast.has_waiters() {
+        } else if fast.has_waiters() {
             if let Some(m) = &self.metrics {
                 m.eager_publishes.incr();
             }
@@ -518,231 +454,58 @@ impl MonotonicCounter for ShardedCounter {
 
     fn advance_to(&self, target: Value) {
         // Published ≥ target ⇒ the true value is too: nothing to do.
-        if self.fast.is_satisfied(target) {
+        if self.core.fast.is_satisfied(target) {
             return;
         }
         // Self-service combine: the logical value may already satisfy the
         // target even though the published word lags.
         self.combine();
-        match self.fast.try_advance(target) {
+        match self.core.fast.try_advance(target) {
             FastAdvance::Raised => {
-                self.stats.record_fast_increment();
+                self.core.stats.record_fast_increment();
                 return;
             }
             FastAdvance::NoOp => return,
             FastAdvance::Contended => {}
         }
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let pending = self.drain_cells();
-            let mut satisfied = self.publish_locked(&mut inner, pending).1;
-            let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
-                if inner.waiting.is_empty() {
-                    self.fast.clear_waiters();
-                }
-                for node in satisfied {
-                    node.cv.notify_all();
-                }
-                return;
-            };
-            self.stats.record_increment();
-            let mut more = Self::remove_satisfied(&mut inner.waiting, new_value);
-            for node in &more {
-                node.signal();
-                self.stats.record_notify();
-            }
-            satisfied.append(&mut more);
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
+        let mut inner = self.core.lock();
+        self.core.stats.record_slow_entry();
+        let mut woken = self.publish_locked(&mut inner);
+        if let Some(more) = self.core.advance_locked(&mut inner, target) {
+            self.core.stats.record_increment();
+            woken.extend(more);
         }
+        self.core.release(inner, woken);
     }
 
     fn wait(&self, level: Value) -> Result<(), CheckError> {
         // Tier 1: one Acquire load of the published word (identical to every
         // other packed-word implementation — sharding does not touch this).
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
+        if self.core.fast.is_satisfied(level) {
+            self.core.stats.record_fast_check();
             return Ok(());
         }
-        // Tier 2: self-service combine — publish the cells and re-test, so a
-        // logically reached value never suspends its observer. Lock-free
-        // while no waiters are registered.
-        self.combine();
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        // Tier 3: the Section 7 waitlist.
-        self.tighten_threshold();
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.register_and_drain(&mut inner);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let mut inserted = false;
-        let node = Arc::clone(inner.waiting.entry(level).or_insert_with(|| {
-            inserted = true;
-            Arc::new(WaitNode::new(level))
-        }));
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        while !node.is_set() && !node.is_poisoned() {
-            inner = node
-                .cv
-                .wait(inner)
-                .expect("counter lock poisoned while waiting");
-        }
-        let poisoned = node.is_poisoned();
-        self.stats.record_waiter_resumed();
-        if node.remove_waiter() {
-            self.stats.record_node_freed();
-        }
-        if poisoned {
-            let info = inner
-                .poisoned
-                .clone()
-                .expect("poisoned wait node without a recorded cause");
-            return Err(CheckError::Poisoned(info));
-        }
-        Ok(())
+        self.wait_slow(level, None)
     }
 
     fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
+        if self.core.fast.is_satisfied(level) {
+            self.core.stats.record_fast_check();
             return Ok(());
         }
-        self.combine();
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        self.tighten_threshold();
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.register_and_drain(&mut inner);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let mut inserted = false;
-        let node = Arc::clone(inner.waiting.entry(level).or_insert_with(|| {
-            inserted = true;
-            Arc::new(WaitNode::new(level))
-        }));
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        loop {
-            // Satisfied first, then poisoned, then the deadline — the same
-            // precedence as every other implementation.
-            if node.is_set() {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    self.stats.record_node_freed();
-                }
-                return Ok(());
-            }
-            if node.is_poisoned() {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    self.stats.record_node_freed();
-                }
-                let info = inner
-                    .poisoned
-                    .clone()
-                    .expect("poisoned wait node without a recorded cause");
-                return Err(CheckError::Poisoned(info));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    inner.waiting.remove(&level);
-                    self.stats.record_node_freed();
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                }
-                return Err(CheckError::Timeout(CheckTimeoutError { level }));
-            }
-            let (guard, _) = node
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .expect("counter lock poisoned while waiting");
-            inner = guard;
-        }
+        self.wait_slow(level, Some(timeout))
     }
 
     fn poison(&self, info: FailureInfo) {
-        if !self.poison_enabled {
-            return;
-        }
-        let swept = {
-            let mut inner = self.lock();
-            if inner.poisoned.is_some() {
-                return;
-            }
-            // Publish pending deltas first: waiters whose levels the true
-            // value already satisfies wake successfully (satisfied-first
-            // semantics), only genuinely unsatisfiable ones are poisoned.
-            let pending = self.drain_cells();
-            let mut swept = self.publish_locked(&mut inner, pending).1;
-            self.fast.set_poison();
-            inner.poisoned = Some(info);
-            let rest = Self::remove_satisfied(&mut inner.waiting, Value::MAX);
-            for node in &rest {
-                node.poison();
-                self.stats.record_notify();
-            }
-            swept.extend(rest);
-            self.fast.clear_waiters();
-            swept
-        };
-        for node in swept {
-            node.cv.notify_all();
-        }
+        // Publish pending deltas first: waiters whose levels the true value
+        // already satisfies wake successfully (satisfied-first semantics),
+        // only genuinely unsatisfiable ones are poisoned.
+        self.core
+            .poison_after(info, |inner| self.publish_locked(inner));
     }
 
     fn poison_info(&self) -> Option<FailureInfo> {
-        if !self.fast.is_poisoned() {
-            return None;
-        }
-        self.lock().poisoned.clone()
+        self.core.poison_info()
     }
 }
 
@@ -758,18 +521,11 @@ impl Buildable for ShardedCounter {
             .map(|c| (c as u64).clamp(MIN_FLUSH_THRESHOLD, MAX_BACKLOG_LIMIT))
             .unwrap_or(DEFAULT_MAX_BACKLOG);
         ShardedCounter {
-            fast: FastWord::new(cfg.initial()),
+            core: BTreeCounter::from_config(cfg),
             cells: (0..shards).map(|_| Cell::default()).collect(),
             mask: shards - 1,
             flush_threshold: AtomicU64::new(MIN_FLUSH_THRESHOLD),
             max_backlog,
-            inner: Mutex::new(Inner {
-                wide: cfg.initial(),
-                waiting: BTreeMap::new(),
-                poisoned: None,
-            }),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
             metrics: cfg.metrics().map(CombinerMetrics::attach),
         }
     }
@@ -783,14 +539,10 @@ impl ResumableCounter for ShardedCounter {
 
 impl Resettable for ShardedCounter {
     fn reset(&mut self) {
-        let inner = self.inner.get_mut().expect("counter lock poisoned");
-        debug_assert!(inner.waiting.is_empty(), "reset called while threads wait");
         for cell in self.cells.iter_mut() {
             *cell.pending.get_mut() = 0;
         }
-        inner.wide = 0;
-        inner.poisoned = None;
-        self.fast.reset(0);
+        self.core.reset();
         *self.flush_threshold.get_mut() = MIN_FLUSH_THRESHOLD;
     }
 }
@@ -799,17 +551,11 @@ impl CounterDiagnostics for ShardedCounter {
     fn debug_value(&self) -> Value {
         // Published plus unpublished. Racy across cells (diagnostics only),
         // exact whenever the counter is quiescent.
-        let hint = self.fast.value_hint();
-        let published = if hint < crate::fastpath::FAST_CAP {
-            hint
-        } else {
-            self.lock().wide
-        };
-        published + self.pending()
+        self.core.debug_value() + self.pending()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.core.stats()
     }
 
     fn impl_name(&self) -> &'static str {
@@ -817,14 +563,7 @@ impl CounterDiagnostics for ShardedCounter {
     }
 
     fn waiters(&self) -> Vec<WaitingLevel> {
-        self.lock()
-            .waiting
-            .values()
-            .map(|n| WaitingLevel {
-                level: n.level,
-                threads: n.waiter_count(),
-            })
-            .collect()
+        self.core.waiters()
     }
 }
 

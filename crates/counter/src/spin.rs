@@ -54,18 +54,6 @@ impl SpinCounter {
         CounterBuilder::new()
     }
 
-    /// Creates a counter with value zero.
-    #[deprecated(note = "use CounterBuilder: `SpinCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value`.
-    #[deprecated(note = "use CounterBuilder: `SpinCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-
     /// Reads the poisoning cause after observing the `poisoned` flag. The
     /// flag is stored only after the cause is published (both SeqCst), so
     /// this cannot observe the flag without the cause.

@@ -60,6 +60,7 @@ impl Stats {
         }
     }
 
+    #[inline]
     pub(crate) fn record_increment(&self) {
         if self.disabled {
             return;
@@ -67,6 +68,7 @@ impl Stats {
         self.slow_increments.fetch_add(1, Relaxed);
     }
 
+    #[inline]
     pub(crate) fn record_check_immediate(&self) {
         if self.disabled {
             return;
@@ -75,6 +77,7 @@ impl Stats {
         self.slow_immediate_checks.fetch_add(1, Relaxed);
     }
 
+    #[inline]
     pub(crate) fn record_check_suspended(&self) {
         if self.disabled {
             return;
@@ -85,6 +88,7 @@ impl Stats {
         bump_max(&self.max_live_waiters, live);
     }
 
+    #[inline]
     pub(crate) fn record_waiter_resumed(&self) {
         if self.disabled {
             return;
@@ -92,6 +96,7 @@ impl Stats {
         self.live_waiters.fetch_sub(1, Relaxed);
     }
 
+    #[inline]
     pub(crate) fn record_node_created(&self) {
         if self.disabled {
             return;
@@ -101,6 +106,7 @@ impl Stats {
         bump_max(&self.max_live_nodes, live);
     }
 
+    #[inline]
     pub(crate) fn record_node_freed(&self) {
         if self.disabled {
             return;
@@ -109,6 +115,7 @@ impl Stats {
         self.live_nodes.fetch_sub(1, Relaxed);
     }
 
+    #[inline]
     pub(crate) fn record_notify(&self) {
         if self.disabled {
             return;
@@ -119,6 +126,7 @@ impl Stats {
     /// An `increment`/`advance_to` that completed on the lock-free fast path.
     ///
     /// One `fetch_add`; the snapshot folds it into the `increments` total.
+    #[inline]
     pub(crate) fn record_fast_increment(&self) {
         if self.disabled {
             return;
@@ -130,6 +138,7 @@ impl Stats {
     ///
     /// One `fetch_add`; the snapshot folds it into the `checks` and
     /// `immediate_checks` totals.
+    #[inline]
     pub(crate) fn record_fast_check(&self) {
         if self.disabled {
             return;
@@ -138,6 +147,7 @@ impl Stats {
     }
 
     /// Any operation that acquired the slow-path mutex.
+    #[inline]
     pub(crate) fn record_slow_entry(&self) {
         if self.disabled {
             return;

@@ -13,10 +13,7 @@
 //! 5. **Saturated regime stays exact**: above the 63-bit hint cap, values and
 //!    checks keep exact `u64` semantics.
 
-use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ParkingCounter,
-    ShardedCounter,
-};
+use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ShardedCounter};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -170,8 +167,6 @@ macro_rules! fastpath_battery {
 
 fastpath_battery!(waitlist, Counter);
 fastpath_battery!(btree, BTreeCounter);
-fastpath_battery!(parking, ParkingCounter);
-fastpath_battery!(atomic, AtomicCounter);
 fastpath_battery!(sharded, ShardedCounter);
 
 /// The ablation counter must do the same work entirely under the mutex.

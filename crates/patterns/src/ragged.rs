@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn works_with_alternative_counter_impls() {
-        let rb: RaggedBarrier<mc_counter::AtomicCounter> = RaggedBarrier::with_counter(2);
+        let rb: RaggedBarrier<mc_counter::BTreeCounter> = RaggedBarrier::with_counter(2);
         rb.arrive(0);
         rb.wait(0, 1);
     }

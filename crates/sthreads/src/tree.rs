@@ -75,6 +75,12 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How long after a `OneForAll` group deadline an aborted sibling may take
+/// to exit before the tree stops holding the group restart back for it and
+/// escalates. Generous next to [`ResumeCtx::wait_abortable`]'s 5ms poll, so
+/// only a run that does not observe the abort at all hits it.
+const ABORT_GRACE: Duration = Duration::from_secs(1);
+
 /// How a [`SupervisionTree`] reacts when a child panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RestartPolicy {
@@ -84,10 +90,18 @@ pub enum RestartPolicy {
     /// Restart the failed child **and** every sibling that has not yet
     /// completed: running siblings are signalled to abort (observe it via
     /// [`ResumeCtx::aborted`] / [`ResumeCtx::wait_abortable`]) and rejoin
-    /// at the failed child's backoff deadline. Children that already
-    /// completed stay completed — their counters reached their final
-    /// values, and rerunning completed work is exactly the double-counting
-    /// restart semantics must exclude.
+    /// at the failed child's backoff deadline. No member of the new
+    /// generation starts until every aborted sibling has exited and been
+    /// joined, so an old run can never observe the new generation's
+    /// increments. A sibling still running one second after the group
+    /// deadline (blocked in a plain `check`/`wait`, say, on a counter only
+    /// the held-back generation increments) is taken to ignore the abort:
+    /// the failure escalates, poisoning the registered counters with the
+    /// failed child's cause, which releases such a waiter instead of
+    /// leaving the tree hung. Children that already completed stay
+    /// completed — their counters reached their final values, and rerunning
+    /// completed work is exactly the double-counting restart semantics must
+    /// exclude.
     OneForAll,
     /// Never restart: the first child failure escalates immediately.
     Escalate,
@@ -515,10 +529,20 @@ impl SupervisionTree {
             if run.settled() {
                 break;
             }
-            // Start any replacement whose backoff has elapsed.
+            // Start any replacement whose backoff has elapsed — unless a
+            // `OneForAll` group restart is still draining: an aborted sibling
+            // that has not exited yet may still be suspended on a counter the
+            // new generation increments, and must not be woken by it.
             let now = Instant::now();
+            let draining = run.draining();
+            if let Some((give_up, failed, sibling)) = draining {
+                if give_up <= now && run.failure.is_none() {
+                    run.abandon_group(failed, sibling);
+                    continue;
+                }
+            }
             while let Some(&Reverse((due, idx))) = run.pending.peek() {
-                if due > now {
+                if draining.is_some() || due > now {
                     break;
                 }
                 run.pending.pop();
@@ -526,11 +550,16 @@ impl SupervisionTree {
                     run.spawn(idx);
                 }
             }
-            let timeout = run
-                .pending
-                .peek()
-                .map(|&Reverse((due, _))| due.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(500));
+            // While draining only an exit (or the grace running out) can
+            // make progress, so never wake at an already-elapsed due.
+            let wake = match draining {
+                Some((give_up, ..)) if run.failure.is_none() => Some(give_up),
+                Some(_) => None,
+                None => run.pending.peek().map(|&Reverse((due, _))| due),
+            };
+            let timeout = wake.map_or(Duration::from_millis(500), |at| {
+                at.saturating_duration_since(Instant::now())
+            });
             match rx.recv_timeout(timeout) {
                 Ok((idx, outcome)) => run.handle_exit(idx, outcome),
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
@@ -572,9 +601,9 @@ struct ChildRt {
     failures: VecDeque<Instant>,
     /// The current run's cooperative-abort flag.
     abort: Arc<AtomicBool>,
-    /// Set while a `OneForAll` group restart wants this child back at the
-    /// given instant.
-    rejoin_at: Option<Instant>,
+    /// Set while a `OneForAll` group restart wants this child back: the
+    /// group deadline and the child whose failure started the restart.
+    rejoin_at: Option<(Instant, usize)>,
     last_cause: Option<FailureInfo>,
     handle: Option<JoinHandle<()>>,
 }
@@ -596,6 +625,38 @@ impl TreeRun {
         self.children
             .iter()
             .all(|c| matches!(c.state, ChildState::Done | ChildState::Dead))
+    }
+
+    /// Whether a `OneForAll` group restart is waiting for an aborted sibling
+    /// to exit: such a child is still `Running` with `rejoin_at` set until
+    /// its exit reaches [`handle_exit`](Self::handle_exit). Returns the
+    /// earliest instant one of them overstays [`ABORT_GRACE`], with the
+    /// failed child behind that group restart and the lingering sibling.
+    fn draining(&self) -> Option<(Instant, usize, usize)> {
+        self.children
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| matches!(c.state, ChildState::Running))
+            .filter_map(|(idx, c)| {
+                c.rejoin_at
+                    .map(|(due, failed)| (due + ABORT_GRACE, failed, idx))
+            })
+            .min()
+    }
+
+    /// An aborted sibling overstayed [`ABORT_GRACE`]: stop holding the group
+    /// restart back and escalate with the failed child's cause, whose poison
+    /// releases a sibling stuck in a plain wait on a registered counter.
+    fn abandon_group(&mut self, failed: usize, sibling: usize) {
+        let cause = self.children[failed]
+            .last_cause
+            .clone()
+            .unwrap_or_else(|| FailureInfo::new("OneForAll group restart"));
+        let reason = format!(
+            "had its restart held back: sibling '{}' did not exit within {ABORT_GRACE:?} of the group abort",
+            self.children[sibling].spec.name
+        );
+        self.escalate(failed, cause, &reason);
     }
 
     /// Starts (or restarts) child `idx`'s body in a fresh thread, with a
@@ -657,7 +718,7 @@ impl TreeRun {
             };
             return;
         }
-        let rejoin = self.children[idx].rejoin_at;
+        let rejoin = self.children[idx].rejoin_at.map(|(due, _)| due);
         match outcome {
             Ok(()) if rejoin.is_none() => self.children[idx].state = ChildState::Done,
             // The run was asked to abort for a group restart and came back
@@ -744,7 +805,7 @@ impl TreeRun {
                 continue;
             }
             if matches!(rt.state, ChildState::Running) {
-                rt.rejoin_at = Some(due);
+                rt.rejoin_at = Some((due, failed));
                 rt.abort.store(true, Relaxed);
             }
         }
@@ -1060,6 +1121,84 @@ mod tests {
             "the incomplete sibling must rejoin the group restart"
         );
         assert!(report.children.iter().all(|c| c.completed));
+    }
+
+    /// Regression: the failed child's replacement used to start at its
+    /// backoff deadline while an aborted sibling was still on its way out,
+    /// so the old run could observe the new generation's increments.
+    #[test]
+    fn one_for_all_new_generation_waits_for_aborted_siblings() {
+        let gate = Arc::new(Counter::default());
+        let seen_at_exit = Arc::new(AtomicU32::new(u32::MAX));
+        let (g1, g2, seen) = (
+            Arc::clone(&gate),
+            Arc::clone(&gate),
+            Arc::clone(&seen_at_exit),
+        );
+        let report = SupervisionTree::builder()
+            .policy(RestartPolicy::OneForAll)
+            .limits(fast_limits())
+            .child(
+                ChildSpec::new("flaky", move |ctx| {
+                    if ctx.is_first_run() {
+                        panic!("flaky first run");
+                    }
+                    g1.increment(1);
+                })
+                .counter("gate", &gate),
+            )
+            .child(ChildSpec::new("slow-to-abort", move |ctx| {
+                if ctx.wait_abortable(g2.as_ref(), 1) == Err(WaitInterrupted::Aborted) {
+                    // Linger far past the 200µs backoff before exiting; the
+                    // replacement must not have run in the meantime.
+                    std::thread::sleep(Duration::from_millis(50));
+                    seen.store(g2.debug_value() as u32, Relaxed);
+                }
+            }))
+            .build()
+            .run()
+            .unwrap();
+        assert_eq!(
+            seen_at_exit.load(Relaxed),
+            0,
+            "the new generation started before the aborted sibling exited"
+        );
+        assert_eq!(gate.debug_value(), 1);
+        assert!(report.children.iter().all(|c| c.completed));
+    }
+
+    /// A sibling that cannot observe the abort (a plain `check` on a counter
+    /// only the held-back replacement increments) must not hang the tree:
+    /// after the grace the failure escalates, and its poison releases the
+    /// sibling with the root cause.
+    #[test]
+    fn one_for_all_escalates_when_a_sibling_ignores_the_abort() {
+        let gate = Arc::new(Counter::default());
+        let (g1, g2) = (Arc::clone(&gate), Arc::clone(&gate));
+        let started = Instant::now();
+        let failure = SupervisionTree::builder()
+            .policy(RestartPolicy::OneForAll)
+            .limits(fast_limits())
+            .child(
+                ChildSpec::new("flaky", move |ctx| {
+                    if ctx.is_first_run() {
+                        panic!("flaky first run");
+                    }
+                    g1.increment(1);
+                })
+                .counter("gate", &gate),
+            )
+            .child(ChildSpec::new("deaf", move |_| g2.check(1)))
+            .build()
+            .run()
+            .unwrap_err();
+        assert!(started.elapsed() >= ABORT_GRACE);
+        assert_eq!(failure.child, "flaky");
+        let msg = failure.cause.message();
+        assert!(msg.contains("sibling 'deaf' did not exit"), "{msg}");
+        assert!(msg.contains("flaky first run"), "root cause kept: {msg}");
+        assert_eq!(gate.debug_value(), 0, "the replacement never started");
+        assert!(gate.poison_info().is_some());
     }
 
     #[test]

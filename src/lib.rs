@@ -73,12 +73,12 @@ pub mod prelude {
     pub use crate::Error;
     pub use mc_chaos::{FailConfig, Failpoints};
     pub use mc_counter::{
-        check_all, AtomicCounter, BTreeCounter, BuildConfig, Buildable, CheckError,
-        CheckTimeoutError, Counter, CounterBuilder, CounterDiagnostics, CounterExt,
-        CounterOverflowError, CounterSet, DynCounter, FailureInfo, HealthStatus, MeteredCounter,
-        MetricsSink, MonitorCounter, MonotonicCounter, NaiveCounter, Obligation, ParkingCounter,
-        PoisonPolicy, Resettable, ShardedCounter, SpinCounter, StallReport, StallVerdict,
-        StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter, Value,
+        check_all, BTreeCounter, BuildConfig, Buildable, CheckError, CheckTimeoutError, Counter,
+        CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, CounterSet,
+        DynCounter, FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonitorCounter,
+        MonotonicCounter, NaiveCounter, Obligation, PoisonPolicy, Resettable, ShardedCounter,
+        SpinCounter, StallReport, StallVerdict, StatsSnapshot, Supervisor, SupervisorConfig,
+        TracingCounter, Value,
     };
     pub use mc_durable::{
         DurabilityMode, DurableCounter, DurableOptions, RetryPolicy, WalError, WalStats,

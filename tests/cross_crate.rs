@@ -22,8 +22,6 @@ fn sequencer_over_every_counter_impl() {
     run::<Counter>();
     run::<BTreeCounter>();
     run::<NaiveCounter>();
-    run::<ParkingCounter>();
-    run::<AtomicCounter>();
     run::<ShardedCounter>();
 }
 
@@ -55,8 +53,6 @@ fn ragged_barrier_over_every_counter_impl() {
     run::<Counter>();
     run::<BTreeCounter>();
     run::<NaiveCounter>();
-    run::<ParkingCounter>();
-    run::<AtomicCounter>();
 }
 
 /// Counters and traditional primitives coexisting in one program: a latch
@@ -148,8 +144,6 @@ fn prelude_surface() {
     let _c: Counter = Counter::default();
     let _n: NaiveCounter = NaiveCounter::default();
     let _b: BTreeCounter = BTreeCounter::default();
-    let _p: ParkingCounter = ParkingCounter::default();
-    let _a: AtomicCounter = AtomicCounter::default();
     let _sh: ShardedCounter = ShardedCounter::builder().shards(4).build();
     let _dyn: DynCounter = Arc::new(Counter::builder().build());
     let _set: CounterSet<Counter> = CounterSet::new(2);

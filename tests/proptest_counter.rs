@@ -2,8 +2,7 @@
 //! implementation against a simple reference model.
 
 use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter,
-    ParkingCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, ShardedCounter,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -28,10 +27,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies the script to an implementation and the model, asserting agreement
-/// after every step.
+/// Applies the script to a default-built implementation and the model.
 fn run_script<C: MonotonicCounter + CounterDiagnostics + Default>(ops: &[Op]) {
-    let c = C::default();
+    run_script_on(C::default(), ops);
+}
+
+/// Applies the script to `c` and the model, asserting agreement after every
+/// step.
+fn run_script_on<C: MonotonicCounter + CounterDiagnostics>(c: C, ops: &[Op]) {
     let mut model: u64 = 0;
     for op in ops {
         match *op {
@@ -83,13 +86,14 @@ proptest! {
     }
 
     #[test]
-    fn parking_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        run_script::<ParkingCounter>(&ops);
+    fn sharded_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+        run_script::<ShardedCounter>(&ops);
     }
 
+    /// The wait core's locked path alone, with the fast path switched off.
     #[test]
-    fn atomic_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        run_script::<AtomicCounter>(&ops);
+    fn mutex_only_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+        run_script_on(Counter::mutex_only(), &ops);
     }
 
     /// Concurrent wakeup completeness: for arbitrary waiter levels and a

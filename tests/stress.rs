@@ -3,8 +3,8 @@
 //! waiter wakes, values add up, storage is reclaimed) under load.
 
 use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter,
-    NaiveCounter, ParkingCounter, SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter, NaiveCounter,
+    ShardedCounter, SpinCounter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,10 +16,15 @@ fn seed_base() -> u64 {
     mc_chaos::seed_from_env(0)
 }
 
+/// Hammers a default-built implementation; see [`hammer_on`].
+fn hammer<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(seed: u64) {
+    hammer_on(C::default(), seed);
+}
+
 /// Runs `waiters` checkers and `incrementers` incrementers with seeded random
 /// levels/amounts; verifies everyone terminates and the final value is the
 /// sum of all increments.
-fn hammer<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(seed: u64) {
+fn hammer_on<C: MonotonicCounter + CounterDiagnostics + 'static>(counter: C, seed: u64) {
     let waiters = 24;
     let incrementers = 8;
     let per_incrementer = 50u64;
@@ -28,7 +33,7 @@ fn hammer<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(seed: u6
     let total: u64 = incrementers as u64 * per_incrementer; // unit increments
     let levels: Vec<u64> = (0..waiters).map(|_| rng.gen_range(0..=total)).collect();
 
-    let c = Arc::new(C::default());
+    let c = Arc::new(counter);
     let mut handles = Vec::new();
     for level in levels {
         let c = Arc::clone(&c);
@@ -76,16 +81,17 @@ fn hammer_naive() {
 }
 
 #[test]
-fn hammer_parking_lot() {
+fn hammer_sharded() {
     for seed in 0..3 {
-        hammer::<ParkingCounter>(seed_base() + seed);
+        hammer::<ShardedCounter>(seed_base() + seed);
     }
 }
 
+/// The wait core's locked path alone, with the fast path switched off.
 #[test]
-fn hammer_atomic() {
+fn hammer_mutex_only() {
     for seed in 0..3 {
-        hammer::<AtomicCounter>(seed_base() + seed);
+        hammer_on(Counter::mutex_only(), seed_base() + seed);
     }
 }
 
